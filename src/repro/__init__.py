@@ -18,6 +18,8 @@ Package map:
 * :mod:`repro.timing` — CPI model with cache-port contention
 * :mod:`repro.reliability` — analytical MTTF models
 * :mod:`repro.workloads` — synthetic SPEC2000-like trace generators
+* :mod:`repro.equivalence` — when each fast path checks itself against
+  its scalar oracle
 * :mod:`repro.harness` — one experiment runner per paper table/figure
 
 Quick start::

@@ -429,11 +429,11 @@ def check_timing(scenario: Scenario) -> List[str]:
     the scenario's L1 with matching block size — the only L2 shape the
     scalar hierarchy accepts (its unit must equal the L1 block).
     """
-    from ..memsim import CacheGeometry, HierarchyConfig, MemoryHierarchy
+    from ..memsim import CacheGeometry, HierarchyConfig
     from ..timing import (
         TIMING_POLICIES,
         TimingConfig,
-        collect_events,
+        collect_run,
         time_events,
         time_events_fast,
     )
@@ -456,8 +456,7 @@ def check_timing(scenario: Scenario) -> List[str]:
         ),
     )
     run = collect_run_fast(scenario.records, config, equivalence="never")
-    hierarchy = MemoryHierarchy(config)
-    events = collect_events(scenario.records, hierarchy)
+    events, hierarchy = collect_run(scenario.records, config)
     problems = run.events.mismatches(EventColumns.from_events(events))
     if hierarchy.l1d.stats != run.l1:
         problems.append("L1 statistics diverged from the scalar collector")

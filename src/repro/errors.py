@@ -148,13 +148,22 @@ class SnapshotError(ReproError):
 
 
 class EquivalenceError(SimulationError):
-    """The batch fast path and the scalar simulator disagreed.
+    """A fast path and its scalar oracle disagreed.
 
-    Raised by :class:`repro.workloads.replay.FastReplay` when its
-    cross-check finds any divergence between the two engines; the message
-    lists every mismatching line, statistic, register or memory block.
+    Raised through :func:`repro.equivalence.raise_on` by every engine's
+    cross-check.  ``mismatches`` keeps every divergent line, statistic,
+    register or trial; the message shows the first :attr:`SHOWN` of them
+    and counts the rest, so every raise site prints the same detail.
     """
 
+    SHOWN = 10
+
     def __init__(self, message: str, *, mismatches=None):
-        super().__init__(message)
         self.mismatches = list(mismatches or [])
+        if self.mismatches:
+            lines = self.mismatches[: self.SHOWN]
+            hidden = len(self.mismatches) - len(lines)
+            if hidden:
+                lines = lines + [f"… and {hidden} more"]
+            message = f"{message}:\n  " + "\n  ".join(lines)
+        super().__init__(message)

@@ -23,6 +23,7 @@ import itertools
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..equivalence import EXPLICIT_MODES, raise_on, validate
 from ..errors import (
     ConfigurationError,
     EquivalenceError,
@@ -236,13 +237,13 @@ class FaultCampaign:
             re-simulating the warmup prefix (requires
             ``config.shared_warmup``; see :mod:`repro.faults.warmstate`).
             Per-trial results are bit-identical to the legacy path.
-        fast_equivalence: ``"never"`` (default) trusts the fast path;
-            ``"always"`` *also* runs the legacy warm-every-trial path for
-            every trial and raises :class:`~repro.errors.EquivalenceError`
-            on any per-trial divergence (validation harness mode).
+        fast_equivalence: one of :data:`repro.equivalence.EXPLICIT_MODES`
+            (a campaign has no run size for ``"auto"``).  ``"never"``
+            (default) trusts the fast path; ``"always"`` *also* runs the
+            legacy warm-every-trial path for every trial and raises
+            :class:`~repro.errors.EquivalenceError` on any per-trial
+            divergence (validation harness mode).
     """
-
-    EQUIVALENCE_MODES = ("never", "always")
 
     def __init__(
         self,
@@ -257,11 +258,7 @@ class FaultCampaign:
                 "the snapshot-fork fast path needs shared_warmup=True: "
                 "per-trial workload traces have nothing to share"
             )
-        if fast_equivalence not in self.EQUIVALENCE_MODES:
-            raise ConfigurationError(
-                f"fast_equivalence must be one of {self.EQUIVALENCE_MODES}, "
-                f"got {fast_equivalence!r}"
-            )
+        validate(fast_equivalence, EXPLICIT_MODES, name="fast_equivalence")
         self.config = config
         self.obs = obs
         self.fast = fast
@@ -487,9 +484,4 @@ def _check_trial_equivalence(
         ]
         if mine != theirs
     ]
-    if mismatches:
-        raise EquivalenceError(
-            "snapshot-fork trial diverged from the legacy path:\n  "
-            + "\n  ".join(mismatches),
-            mismatches=mismatches,
-        )
+    raise_on(mismatches, "snapshot-fork trial diverged from the legacy path")

@@ -14,13 +14,12 @@ harness can run at scale.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import statistics
 import time
 from typing import Dict, List, Optional, Sequence
 
 from ..energy import SCHEMES, normalized_energies
-from ..memsim.hierarchy import PAPER_CONFIG, HierarchyConfig, MemoryHierarchy
+from ..memsim.hierarchy import PAPER_CONFIG, HierarchyConfig
 from ..memsim.stats import CacheStats
 from ..reliability import (
     ReliabilityInputs,
@@ -32,7 +31,7 @@ from ..reliability import (
 from ..timing import (
     AccessEvent,
     TimingConfig,
-    collect_events,
+    collect_run,
     time_events,
     timing_policy,
 )
@@ -98,12 +97,7 @@ def run_benchmark(
             events=run.events,
             units_per_block=run.units_per_block,
         )
-    hierarchy = MemoryHierarchy(config)
-    if warmup:
-        collect_events(itertools.islice(records, warmup), hierarchy)
-        hierarchy.l1d.reset_stats()
-        hierarchy.l2.reset_stats()
-    events = collect_events(records, hierarchy)
+    events, hierarchy = collect_run(records, config, warmup=warmup)
     return BenchmarkRun(
         name=name,
         references=n_references,

@@ -65,6 +65,26 @@ class HierarchyConfig:
     memory_latency_cycles: int = 200
     frequency_hz: float = 3.0e9
 
+    def check(self) -> None:
+        """Raise :class:`ConfigurationError` for a geometry the simulator
+        cannot run.
+
+        Each lower level moves whole upper-level blocks, so its block
+        and its protection unit must both equal the upper level's block
+        (paper Section 3.5: the L2 unit is an L1 block).
+        """
+        levels = [("L1D", self.l1d), ("L2", self.l2)]
+        if self.l3 is not None:
+            levels.append(("L3", self.l3))
+        for (upper_name, upper), (name, lower) in zip(levels, levels[1:]):
+            if not lower.block_bytes == lower.unit_bytes == upper.block_bytes:
+                raise ConfigurationError(
+                    f"{name} block and protection unit must both equal the "
+                    f"{upper_name} block size (paper Section 3.5): block "
+                    f"{lower.block_bytes}B, unit {lower.unit_bytes}B vs "
+                    f"{upper.block_bytes}B"
+                )
+
 
 PAPER_CONFIG = HierarchyConfig()
 
@@ -96,22 +116,12 @@ class MemoryHierarchy:
         protection_factory: ProtectionFactory = _no_protection,
         policy: str = "lru",
     ):
+        config.check()
         self.config = config
-        if config.l2.unit_bytes != config.l1d.block_bytes:
-            raise ConfigurationError(
-                "L2 protection unit must equal the L1 block size "
-                "(paper Section 3.5): "
-                f"{config.l2.unit_bytes}B vs {config.l1d.block_bytes}B"
-            )
         self.memory = MainMemory(block_bytes=config.l2.block_bytes)
         self.l3: Optional[Cache] = None
         l2_backing = self.memory
         if config.l3 is not None:
-            if config.l3.unit_bytes != config.l2.block_bytes:
-                raise ConfigurationError(
-                    "L3 protection unit must equal the L2 block size: "
-                    f"{config.l3.unit_bytes}B vs {config.l2.block_bytes}B"
-                )
             self.l3 = Cache(
                 "L3",
                 config.l3.size_bytes,

@@ -55,9 +55,9 @@ from ..cppc import CppcProtection
 from ..cppc.locator import FaultLocator, FaultyUnit
 from ..cppc.registers import RegisterFile
 from ..cppc.shifting import RotationScheme
+from ..equivalence import raise_on
 from ..errors import (
     ConfigurationError,
-    EquivalenceError,
     FaultLocatorError,
     UncorrectableError,
 )
@@ -531,15 +531,16 @@ def replay_pairs_live(
     """
     base = image.to_cache()
     scheme: CppcProtection = base.protection
-    for index, pair in enumerate(scheme.registers.pairs):
-        expected = int(image.register_xor[index])
-        if pair.dirty_xor != expected:
-            raise EquivalenceError(
-                f"vectorized register image disagrees with the live "
-                f"R1^R2 of pair {index}: image {expected:#x}, "
-                f"live {pair.dirty_xor:#x}",
-                mismatches=[f"pair {index}"],
+    raise_on(
+        [
+            f"pair {index}: image {int(expected):#x}, live {pair.dirty_xor:#x}"
+            for index, (pair, expected) in enumerate(
+                zip(scheme.registers.pairs, image.register_xor)
             )
+            if pair.dirty_xor != int(expected)
+        ],
+        "vectorized register image disagrees with the live R1^R2 pairs",
+    )
     golden = {loc: value for loc, value, _d in base.iter_units()}
     locations = list(golden)
     snap = snapshot_cache(base)
@@ -618,13 +619,11 @@ def cross_check_live(
         for position in chosen
         if int(outcomes[position]) != live[position]
     ]
-    if mismatches:
-        raise EquivalenceError(
-            "vector kernel diverged from live recovery on "
-            f"{len(mismatches)}/{len(chosen)} replayed sample(s):\n  "
-            + "\n  ".join(mismatches[:10]),
-            mismatches=mismatches,
-        )
+    raise_on(
+        mismatches,
+        "vector kernel diverged from live recovery on "
+        f"{len(mismatches)}/{len(chosen)} replayed sample(s)",
+    )
     return {
         "samples": samples,
         "checked": len(chosen),

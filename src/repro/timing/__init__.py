@@ -25,6 +25,7 @@ from .model import (
     TimingResult,
     TwoDParityTiming,
     collect_events,
+    collect_run,
     simulate_cpi,
     time_events,
     timing_policy,
@@ -41,6 +42,7 @@ __all__ = [
     "TimingResult",
     "TwoDParityTiming",
     "collect_events",
+    "collect_run",
     "simulate_cpi",
     "time_events",
     "timing_policy",

@@ -12,8 +12,8 @@ Columnar collection (:func:`collect_events_fast`) drives the
 trace, splitting warmup from the measured window with a mid-stream
 :meth:`~repro.memsim.batch._ReplayState.checkpoint` instead of a second
 replay.  The engine's :class:`~repro.memsim.batch.ReplayCapture` records
-the next-level traffic; replaying that (sparse) traffic through a real
-scalar L2 ``Cache`` reproduces the L2 statistics and the per-access
+the next-level traffic; replaying that (sparse) traffic through a lean
+line-granular L2 model reproduces the L2 statistics and the per-access
 ``miss_level`` exactly as the scalar hierarchy saw them.
 
 Pricing (:func:`time_events_fast`) computes the issue and miss-stall
@@ -32,32 +32,23 @@ re-resolved with one scalar step.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import ConfigurationError, EquivalenceError
+from ..equivalence import AUTO_LIMIT, raise_on, should_check, validate
+from ..errors import ConfigurationError
 from ..memsim.batch import BatchReplayEngine, BatchTrace, ReplayCapture
-from ..memsim.cache import Cache
-from ..memsim.hierarchy import PAPER_CONFIG, HierarchyConfig, MemoryHierarchy
-from ..memsim.mainmem import MainMemory
-from ..memsim.protection import NoProtection
+from ..memsim.hierarchy import PAPER_CONFIG, HierarchyConfig
 from ..memsim.stats import CacheStats
 from .model import (
     AccessEvent,
     SchemeTimingPolicy,
     TimingConfig,
     TimingResult,
-    collect_events,
+    collect_run,
     timing_policy,
 )
-
-#: Cross-check modes, mirroring :class:`repro.workloads.replay.FastReplay`.
-EQUIVALENCE_MODES = ("auto", "always", "never")
-
-#: ``"auto"`` cross-checks traces of at most this many references.
-DEFAULT_EQUIVALENCE_LIMIT = 2048
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,8 +219,8 @@ def _delta_stats(engine: BatchReplayEngine, warm: dict, end: dict) -> CacheStats
 class _LeanL2:
     """Single-unit-per-line L2 replay with scalar-exact accounting.
 
-    Every constructible hierarchy has ``l2.unit_bytes == l1.block_bytes``
-    (enforced) and ``l2.block_bytes == l1.block_bytes`` (a larger L2
+    :meth:`~repro.memsim.hierarchy.HierarchyConfig.check` enforces
+    ``l2.unit_bytes == l2.block_bytes == l1.block_bytes`` (a larger L2
     block would make the L1's block-aligned refills misaligned), so the
     captured traffic always touches exactly one L2 unit covering the
     whole line.  That collapses the scalar ``Cache`` path to a handful
@@ -374,8 +365,8 @@ def _replay_l2(
     the scalar L1 would have issued (same order, same cycles), so
     feeding them to an L2 model reproduces its statistics bit-for-bit,
     including the ``reset_stats()`` at the warmup boundary.  The lean
-    single-unit model covers every geometry the hierarchy accepts; a
-    real scalar ``Cache`` backs the exotic multi-unit case.
+    single-unit model covers every geometry
+    :meth:`~repro.memsim.hierarchy.HierarchyConfig.check` accepts.
     ``miss_level`` is classified per L1-missing access the way
     ``collect_events`` does: level 2 whenever the access grew the L2
     miss counter (its own fill *or* its victim's write-back missing L2).
@@ -386,51 +377,14 @@ def _replay_l2(
     split = 0
     while split < len(events) and events[split][0] < warmup:
         split += 1
-    if geometry.unit_bytes == geometry.block_bytes:
-        l2 = _LeanL2(geometry)
-        num_sets, bb = l2.num_sets, l2.block_bytes
-        slot_set = [(a // bb) % num_sets for a in capture.slot_addr or []]
-        slot_tag = [(a // bb) // num_sets for a in capture.slot_addr or []]
-        l2.replay(events[:split], slot_set, slot_tag, 0, None)
-        if warmup:
-            l2.reset_stats()
-        l2.replay(events[split:], slot_set, slot_tag, warmup, miss_level)
-        return l2.stats, miss_level
-    # pragma-style fallback: a multi-unit L2 cannot come out of
-    # MemoryHierarchy, but keep the general scalar path for safety.
-    l2 = Cache(
-        "L2",
-        geometry.size_bytes,
-        geometry.ways,
-        geometry.block_bytes,
-        unit_bytes=geometry.unit_bytes,
-        protection=NoProtection(),
-        next_level=MainMemory(block_bytes=geometry.block_bytes),
-        policy="lru",
-    )
-    slot_addr = capture.slot_addr or []
-
-    def apply(event):
-        _, kind, slot, cycle, words = event
-        addr = slot_addr[slot]
-        if kind == 0:
-            l2.read_block(addr, cycle=cycle)
-        else:
-            data = b"".join(w.to_bytes(8, "big") for w in words)
-            l2.write_block(addr, data, cycle=cycle)
-
-    for k in range(split):
-        apply(events[k])
+    l2 = _LeanL2(geometry)
+    num_sets, bb = l2.num_sets, l2.block_bytes
+    slot_set = [(a // bb) % num_sets for a in capture.slot_addr or []]
+    slot_tag = [(a // bb) // num_sets for a in capture.slot_addr or []]
+    l2.replay(events[:split], slot_set, slot_tag, 0, None)
     if warmup:
         l2.reset_stats()
-    k = split
-    while k < len(events):
-        access = events[k][0]
-        misses_before = l2.stats.misses
-        while k < len(events) and events[k][0] == access:
-            apply(events[k])
-            k += 1
-        miss_level[access - warmup] = 2 if l2.stats.misses > misses_before else 1
+    l2.replay(events[split:], slot_set, slot_tag, warmup, miss_level)
     return l2.stats, miss_level
 
 
@@ -446,14 +400,8 @@ def _cross_check(
     trace: BatchTrace, config: HierarchyConfig, warmup: int, run: FastRun
 ) -> None:
     """Replay the trace through the scalar collector and compare."""
-    hierarchy = MemoryHierarchy(config)
-    records = iter(trace.to_records())
-    if warmup:
-        collect_events(itertools.islice(records, warmup), hierarchy)
-        hierarchy.l1d.reset_stats()
-        hierarchy.l2.reset_stats()
-    scalar_events = EventColumns.from_events(collect_events(records, hierarchy))
-    problems = scalar_events.mismatches(run.events)
+    events, hierarchy = collect_run(trace.to_records(), config, warmup=warmup)
+    problems = EventColumns.from_events(events).mismatches(run.events)
     if hierarchy.l1d.stats != run.l1:
         problems.append(
             "L1 stats diverge: "
@@ -464,11 +412,7 @@ def _cross_check(
             "L2 stats diverge: "
             f"{hierarchy.l2.stats.snapshot()} vs {run.l2.snapshot()}"
         )
-    if problems:
-        raise EquivalenceError(
-            "timing fast path diverged from the scalar collector",
-            mismatches=problems,
-        )
+    raise_on(problems, "timing fast path diverged from the scalar collector")
 
 
 def collect_run_fast(
@@ -477,7 +421,7 @@ def collect_run_fast(
     *,
     warmup: int = 0,
     equivalence: str = "auto",
-    equivalence_limit: int = DEFAULT_EQUIVALENCE_LIMIT,
+    equivalence_limit: int = AUTO_LIMIT,
 ) -> FastRun:
     """One batch replay -> measured events plus L1/L2 statistics.
 
@@ -490,20 +434,19 @@ def collect_run_fast(
     Args:
         records: a :class:`~repro.memsim.batch.BatchTrace` or an
             iterable of :class:`~repro.workloads.trace.TraceRecord`.
-        config: hierarchy geometry (L1 protection units must be 64-bit,
-            the batch-engine precondition).
+        config: hierarchy geometry; one
+            :class:`~repro.memsim.hierarchy.MemoryHierarchy` accepts
+            (see :meth:`~repro.memsim.hierarchy.HierarchyConfig.check`)
+            with 64-bit L1 protection units, the batch-engine
+            precondition.  Anything else raises
+            :class:`~repro.errors.ConfigurationError` before replay.
         warmup: references to exclude from the front of the trace.
-        equivalence: ``"auto"`` (cross-check against the scalar
-            collector when the trace is small), ``"always"`` or
-            ``"never"`` — the :class:`~repro.workloads.replay.FastReplay`
-            convention.
+        equivalence: a :mod:`repro.equivalence` mode; the oracle is
+            :func:`~repro.timing.model.collect_run`.
         equivalence_limit: reference-count cutoff for ``"auto"``.
     """
-    if equivalence not in EQUIVALENCE_MODES:
-        raise ConfigurationError(
-            f"equivalence mode must be one of {EQUIVALENCE_MODES}, "
-            f"got {equivalence!r}"
-        )
+    validate(equivalence, limit=equivalence_limit)
+    config.check()
     trace = (
         records if isinstance(records, BatchTrace) else BatchTrace.from_records(records)
     )
@@ -513,7 +456,9 @@ def collect_run_fast(
             f"warmup must be within the trace: {warmup} vs {n_total} references"
         )
     l1 = config.l1d
-    engine = BatchReplayEngine(l1.size_bytes, l1.ways, l1.block_bytes)
+    engine = BatchReplayEngine(
+        l1.size_bytes, l1.ways, l1.block_bytes, unit_bytes=l1.unit_bytes
+    )
     capture = ReplayCapture()
     state = engine.begin(capture)
     flat = _zero_gap(trace)
@@ -535,9 +480,7 @@ def collect_run_fast(
         references=n_total - warmup,
         units_per_block=engine.units_per_block,
     )
-    if equivalence == "always" or (
-        equivalence == "auto" and n_total <= equivalence_limit
-    ):
+    if should_check(equivalence, n_total, equivalence_limit):
         _cross_check(trace, config, warmup, run)
     return run
 
@@ -547,7 +490,7 @@ def collect_events_fast(
     config: HierarchyConfig = PAPER_CONFIG,
     *,
     equivalence: str = "auto",
-    equivalence_limit: int = DEFAULT_EQUIVALENCE_LIMIT,
+    equivalence_limit: int = AUTO_LIMIT,
 ) -> EventColumns:
     """Columnar counterpart of :func:`repro.timing.model.collect_events`."""
     return collect_run_fast(

@@ -24,10 +24,11 @@ port policy — the paper's simulate-once / account-per-scheme methodology.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, NamedTuple, Optional
+import itertools
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..memsim.hierarchy import MemoryHierarchy
+from ..memsim.hierarchy import PAPER_CONFIG, HierarchyConfig, MemoryHierarchy
 from ..memsim.types import AccessType
 from ..workloads.trace import TraceRecord
 
@@ -190,6 +191,27 @@ def collect_events(
             AccessEvent(is_load, record.instructions, was_dirty, miss_level)
         )
     return events
+
+
+def collect_run(
+    records: Iterable[TraceRecord],
+    config: HierarchyConfig = PAPER_CONFIG,
+    *,
+    warmup: int = 0,
+) -> Tuple[List[AccessEvent], MemoryHierarchy]:
+    """Scalar oracle of :func:`repro.timing.fast.collect_run_fast`.
+
+    Replays ``records`` through a fresh hierarchy.  The first ``warmup``
+    references fill the caches and are excluded from the returned events
+    and from the hierarchy's statistics.
+    """
+    hierarchy = MemoryHierarchy(config)
+    records = iter(records)
+    if warmup:
+        collect_events(itertools.islice(records, warmup), hierarchy)
+        hierarchy.l1d.reset_stats()
+        hierarchy.l2.reset_stats()
+    return collect_events(records, hierarchy), hierarchy
 
 
 def time_events(

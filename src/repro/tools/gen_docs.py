@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence
 
 SUBPACKAGES = [
     "repro",
+    "repro.equivalence",
     "repro.util",
     "repro.coding",
     "repro.memsim",

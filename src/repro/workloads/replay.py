@@ -20,7 +20,8 @@ import time
 from typing import Dict, Iterable, List, Optional
 
 from ..cppc.protection import CppcProtection
-from ..errors import ConfigurationError, EquivalenceError, SimulationError
+from ..equivalence import AUTO_LIMIT, raise_on, should_check, validate
+from ..errors import SimulationError
 from ..memsim.batch import (
     BatchReplayEngine,
     BatchReplayResult,
@@ -174,13 +175,11 @@ class FastReplay:
     """Batch-engine trace replay with automatic scalar cross-checking.
 
     Models one CPPC-protected write-back cache over main memory (the
-    configuration :mod:`repro.memsim.batch` vectorizes).  Equivalence
-    modes:
-
-    * ``"auto"`` (default) — traces of at most ``equivalence_limit``
-      references are *also* replayed through the scalar ``Cache`` and the
-      results compared word-for-word; longer traces run batch-only.
-    * ``"always"`` / ``"never"`` — force either behaviour.
+    configuration :mod:`repro.memsim.batch` vectorizes).  The
+    :mod:`repro.equivalence` modes: ``"auto"`` (default) *also* replays
+    traces of at most ``equivalence_limit`` references through the scalar
+    ``Cache`` and compares the results word-for-word; ``"always"`` /
+    ``"never"`` force either behaviour.
 
     Args:
         size_bytes / ways / block_bytes: cache geometry.
@@ -194,8 +193,6 @@ class FastReplay:
             simulation state, so equivalence results are unchanged.
     """
 
-    MODES = ("auto", "always", "never")
-
     def __init__(
         self,
         size_bytes: int = 32 * 1024,
@@ -206,16 +203,10 @@ class FastReplay:
         byte_shifting: bool = True,
         num_classes: int = 8,
         equivalence: str = "auto",
-        equivalence_limit: int = 2048,
+        equivalence_limit: int = AUTO_LIMIT,
         obs=None,
     ):
-        if equivalence not in self.MODES:
-            raise ConfigurationError(
-                f"equivalence mode must be one of {self.MODES}, "
-                f"got {equivalence!r}"
-            )
-        if equivalence_limit < 0:
-            raise ConfigurationError("equivalence_limit must be >= 0")
+        validate(equivalence, limit=equivalence_limit)
         self.engine = BatchReplayEngine(
             size_bytes,
             ways,
@@ -282,9 +273,8 @@ class FastReplay:
             stores=batch.stores,
             instructions=batch.instructions,
         )
-        check = self.equivalence == "always" or (
-            self.equivalence == "auto"
-            and batch.references <= self.equivalence_limit
+        check = should_check(
+            self.equivalence, batch.references, self.equivalence_limit
         )
         if obs is not None:
             obs.span(
@@ -307,12 +297,7 @@ class FastReplay:
                     time.perf_counter() - t0,
                     {"problems": len(problems)},
                 )
-            if problems:
-                raise EquivalenceError(
-                    "batch replay diverged from the scalar cache:\n  "
-                    + "\n  ".join(problems),
-                    mismatches=problems,
-                )
+            raise_on(problems, "batch replay diverged from the scalar cache")
         return FastReplayResult(replay=summary, batch=batch, checked=check)
 
     def _cross_check(self, records, batch) -> List[str]:

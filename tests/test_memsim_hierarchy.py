@@ -31,14 +31,34 @@ class TestPaperConfig:
         assert PAPER_CONFIG.l2.unit_bytes == PAPER_CONFIG.l1d.block_bytes
 
     def test_mismatched_units_rejected(self):
-        bad = HierarchyConfig(
-            l2=CacheGeometry(
-                size_bytes=8192, ways=4, block_bytes=32, unit_bytes=8,
-                latency_cycles=8,
-            )
-        )
-        with pytest.raises(ConfigurationError):
-            MemoryHierarchy(bad)
+        bad_configs = [
+            HierarchyConfig(
+                l2=CacheGeometry(
+                    size_bytes=8192, ways=4, block_bytes=32, unit_bytes=8,
+                    latency_cycles=8,
+                )
+            ),
+            # A 64B-block L2 under 32B L1 blocks: the L1's block-aligned
+            # refills would be misaligned at L2.
+            HierarchyConfig(
+                l2=CacheGeometry(
+                    size_bytes=1024 * 1024, ways=4, block_bytes=64,
+                    unit_bytes=32, latency_cycles=8,
+                )
+            ),
+            # The same mismatch one level down: a 64B-block L3.
+            HierarchyConfig(
+                l3=CacheGeometry(
+                    size_bytes=4 * 1024 * 1024, ways=8, block_bytes=64,
+                    unit_bytes=32, latency_cycles=24,
+                )
+            ),
+        ]
+        for bad in bad_configs:
+            with pytest.raises(ConfigurationError):
+                MemoryHierarchy(bad)
+            with pytest.raises(ConfigurationError):
+                bad.check()
 
     def test_geometry_helpers(self):
         g = PAPER_CONFIG.l1d

@@ -260,3 +260,102 @@ class TestCompareBaseline:
         baseline = json.loads((root / "BENCH_baseline.json").read_text())
         for mode, (*_rest, regressed) in MODES.items():
             assert set(regressed) <= set(baseline[mode])
+
+
+def test_table_has_a_row_per_mode():
+    assert set(run_bench.BENCH_MODES) == set(MODES)
+
+
+@pytest.mark.parametrize("mode", MODE_NAMES)
+def test_equivalence_detail_reaches_stderr(mode, tmp_path, monkeypatch, capsys):
+    argv, _floor, fn, _keys, _regressed = MODES[mode]
+    lines = [f"mismatch-{i}" for i in range(12)]
+
+    def diverge(*args, **kwargs):
+        raise EquivalenceError("diverged", mismatches=lines)
+
+    monkeypatch.setattr(run_bench, fn, diverge)
+    assert run_bench.main(argv + ["--output", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert all(line in err for line in lines[:10])
+    assert "mismatch-10" not in err
+    assert "… and 2 more" in err
+
+
+def test_timing_divergence_prints_its_lines(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    from repro.timing import fast
+
+    original = fast._dirty_flags
+    monkeypatch.setattr(
+        fast,
+        "_dirty_flags",
+        lambda stores, warmup, n: np.zeros_like(original(stores, warmup, n)),
+    )
+    argv = MODES["timing"][0]
+    assert run_bench.main(argv + ["--output", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "timing fast path diverged" in err
+    assert "gcc: event[" in err and "was_dirty diverges" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--campaign", "--timing"],
+        ["--timing", "--reliability"],
+        ["--trace-format", "columnar", "--campaign"],
+        ["--reliability", "--trace-format", "columnar"],
+        ["--trace-format", "records", "--timing"],
+    ],
+)
+def test_conflicting_mode_selectors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_bench.main(argv)
+    assert info.value.code == 2
+    assert "conflicts" in capsys.readouterr().err
+
+
+def test_repeating_a_selector_is_not_a_conflict():
+    parser = run_bench.build_parser()
+    assert parser.parse_args(["--timing", "--timing"]).mode == "timing"
+    assert parser.parse_args(["--trace-format", "columnar"]).mode == "tracestore"
+    assert parser.parse_args([]).mode is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--trials", "0"],
+        ["--mc-samples", "0"],
+        ["--scalar-mc-samples", "0"],
+        ["--trace-len", "0"],
+        ["--timing-refs", "0"],
+        ["--repeats", "0"],
+        ["--equivalence-len", "-1"],
+        ["--trials", "many"],
+    ],
+)
+def test_counts_are_checked_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_bench.main(["--campaign"] + argv)
+    assert info.value.code == 2
+    assert argv[0] in capsys.readouterr().err
+
+
+def test_floor_spellings_set_one_floor():
+    parser = run_bench.build_parser()
+    for mode in run_bench.BENCH_MODES.values():
+        assert parser.parse_args([mode.floor_flag, "2.5"]).min_speedup == 2.5
+
+
+def test_help_comes_from_the_table(capsys):
+    with pytest.raises(SystemExit) as info:
+        run_bench.main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "exit 1" not in out
+    for mode in run_bench.BENCH_MODES.values():
+        assert f"BENCH_{mode.name}.json" in out
+        assert mode.floor_flag in out

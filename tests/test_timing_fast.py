@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, EquivalenceError
-from repro.memsim import PAPER_CONFIG, MemoryHierarchy
+from repro.memsim import PAPER_CONFIG, CacheGeometry, HierarchyConfig, MemoryHierarchy
 from repro.timing import (
     TIMING_POLICIES,
     AccessEvent,
@@ -145,6 +145,24 @@ class TestCollectFast:
     def test_rejects_bad_equivalence_mode(self):
         with pytest.raises(ConfigurationError):
             collect_run_fast([], PAPER_CONFIG, equivalence="sometimes")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            HierarchyConfig(
+                l2=CacheGeometry(1024 * 1024, 4, 64, unit_bytes=32, latency_cycles=8)
+            ),
+            HierarchyConfig(
+                l1d=CacheGeometry(32 * 1024, 2, 32, unit_bytes=16, latency_cycles=2),
+                l2=PAPER_CONFIG.l2,
+            ),
+        ],
+        ids=["l2-64B-block", "l1-16B-unit"],
+    )
+    def test_refuses_unrunnable_geometry(self, config):
+        records = list(make_workload("gcc", seed=0).records(50))
+        with pytest.raises(ConfigurationError):
+            collect_run_fast(records, config, equivalence="never")
 
     def test_rejects_out_of_range_warmup(self):
         records = list(make_workload("gzip", seed=0).records(10))

@@ -8,7 +8,7 @@ checks both models tell the same story: CPPC's CPI overhead is far below
 """
 
 from repro.harness import format_table
-from repro.timing import simulate_detailed_cpi, time_events, timing_policy
+from repro.timing import simulate_detailed_cpi, time_events_fast, timing_policy
 
 from conftest import publish
 
@@ -28,7 +28,7 @@ def run_cross_validation(runs):
                 run.events, timing_policy(scheme),
                 units_per_block=run.units_per_block,
             ).cpi
-            fast[scheme] = time_events(
+            fast[scheme] = time_events_fast(
                 run.events, timing_policy(scheme),
                 units_per_block=run.units_per_block,
             ).cpi

@@ -29,10 +29,10 @@ from ..reliability import (
     mttf_secded_years,
 )
 from ..timing import (
-    AccessEvent,
+    EventColumns,
     TimingConfig,
-    collect_run,
-    time_events,
+    collect_run_fast,
+    time_events_fast,
     timing_policy,
 )
 from ..workloads import benchmark_names, make_workload
@@ -45,18 +45,13 @@ DEFAULT_REFERENCES = 200_000
 
 @dataclasses.dataclass
 class BenchmarkRun:
-    """One benchmark's shared simulation products.
-
-    ``events`` is a plain ``AccessEvent`` list from the scalar collector
-    or an :class:`~repro.timing.fast.EventColumns` from the batch fast
-    path; both iterate as the same event tuples.
-    """
+    """One benchmark's shared simulation products."""
 
     name: str
     references: int
     l1: CacheStats
     l2: CacheStats
-    events: Sequence[AccessEvent]
+    events: EventColumns
     units_per_block: int
 
 
@@ -66,7 +61,6 @@ def run_benchmark(
     seed: int = 0,
     config: HierarchyConfig = PAPER_CONFIG,
     warmup_fraction: float = 0.25,
-    fast: bool = False,
 ) -> BenchmarkRun:
     """Replay one benchmark once and capture everything the models need.
 
@@ -74,10 +68,10 @@ def run_benchmark(
     excluded from the counters (the role SimPoint fast-forwarding plays in
     the paper's setup); the timing events cover only the measured window.
 
-    With ``fast=True`` the replay runs on the vectorized batch engine
-    (:func:`repro.timing.fast.collect_run_fast`), producing bit-identical
-    statistics and an :class:`~repro.timing.fast.EventColumns` event
-    stream that every scalar consumer still accepts.
+    The replay runs on the vectorized batch engine
+    (:func:`repro.timing.fast.collect_run_fast`), whose scalar oracle is
+    :func:`repro.timing.model.collect_run`.  A geometry that engine
+    cannot serve raises :class:`~repro.errors.ConfigurationError`.
     """
     workload = make_workload(name, seed=seed)
     warmup = int(n_references * warmup_fraction)
@@ -85,26 +79,14 @@ def run_benchmark(
     # workload handing back a sequence: without ``iter`` the warmup
     # prefix would be replayed a second time into the measured window.
     records = iter(workload.records(n_references + warmup))
-    if fast:
-        from ..timing.fast import collect_run_fast
-
-        run = collect_run_fast(records, config, warmup=warmup)
-        return BenchmarkRun(
-            name=name,
-            references=n_references,
-            l1=run.l1,
-            l2=run.l2,
-            events=run.events,
-            units_per_block=run.units_per_block,
-        )
-    events, hierarchy = collect_run(records, config, warmup=warmup)
+    run = collect_run_fast(records, config, warmup=warmup)
     return BenchmarkRun(
         name=name,
         references=n_references,
-        l1=hierarchy.l1d.stats,
-        l2=hierarchy.l2.stats,
-        events=events,
-        units_per_block=hierarchy.l1d.units_per_block,
+        l1=run.l1,
+        l2=run.l2,
+        events=run.events,
+        units_per_block=run.units_per_block,
     )
 
 
@@ -114,21 +96,19 @@ def run_all_benchmarks(
     benchmarks: Optional[Sequence[str]] = None,
     config: HierarchyConfig = PAPER_CONFIG,
     obs=None,
-    fast: bool = False,
 ) -> List[BenchmarkRun]:
     """Shared simulations for every benchmark in evaluation order.
 
     ``obs`` (a :class:`repro.obs.TraceSink`) gets one span per benchmark
     simulation — coarse progress marks, not per-access events, so the
-    trace stays small at full experiment scale.  ``fast`` selects the
-    batch-engine replay for every benchmark (see :func:`run_benchmark`).
+    trace stays small at full experiment scale.
     """
     names = list(benchmarks) if benchmarks is not None else benchmark_names()
     live = obs is not None and obs.enabled
     runs = []
     for name in names:
         start = time.perf_counter() if live else 0.0
-        run = run_benchmark(name, n_references, seed, config, fast=fast)
+        run = run_benchmark(name, n_references, seed, config)
         if live:
             obs.span(
                 "experiment",
@@ -216,24 +196,12 @@ def figure10(
     runs: Sequence[BenchmarkRun],
     timing_config: Optional[TimingConfig] = None,
 ) -> Figure10Result:
-    """Price each benchmark's event stream under each scheme's ports.
-
-    Columnar event streams (from ``run_benchmark(fast=True)``) are
-    priced by the bit-identical vectorized engine; scalar lists take the
-    reference loop.
-    """
-    from ..timing.fast import EventColumns, time_events_fast
-
+    """Price each benchmark's event stream under each scheme's ports."""
     per_benchmark: Dict[str, Dict[str, float]] = {}
     for run in runs:
-        pricer = (
-            time_events_fast
-            if isinstance(run.events, EventColumns)
-            else time_events
-        )
         row = {}
         for scheme in FIG10_SCHEMES:
-            result = pricer(
+            result = time_events_fast(
                 run.events,
                 timing_policy(scheme),
                 timing_config,

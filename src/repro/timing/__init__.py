@@ -3,9 +3,7 @@
 from .fast import (
     EventColumns,
     FastRun,
-    collect_events_fast,
     collect_run_fast,
-    simulate_cpi_fast,
     time_events_fast,
 )
 from .pipeline import (
@@ -26,7 +24,6 @@ from .model import (
     TwoDParityTiming,
     collect_events,
     collect_run,
-    simulate_cpi,
     time_events,
     timing_policy,
 )
@@ -43,14 +40,11 @@ __all__ = [
     "TwoDParityTiming",
     "collect_events",
     "collect_run",
-    "simulate_cpi",
     "time_events",
     "timing_policy",
     "EventColumns",
     "FastRun",
-    "collect_events_fast",
     "collect_run_fast",
-    "simulate_cpi_fast",
     "time_events_fast",
     "DetailedPipeline",
     "PipelineConfig",

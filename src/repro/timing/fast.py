@@ -1,13 +1,14 @@
 """Vectorized Figure-10 timing fast path (columnar events, scanned pricing).
 
-The scalar pipeline replays every benchmark trace through the scalar
+The scalar oracle replays every benchmark trace through the scalar
 ``Cache`` (:func:`repro.timing.model.collect_events`) and then walks a
-Python loop per scheme (:func:`repro.timing.model.time_events`).  Both
-halves vectorize, and both halves must stay *bit-identical* to the
-scalar code — Figure 10 normalises CPIs against each other, so even a
-last-ulp drift would show up in the reproduction tables.
+Python loop per scheme (:func:`repro.timing.model.time_events`).  This
+module is the production engine for both halves, and both must stay
+*bit-identical* to the scalar code — Figure 10 normalises CPIs against
+each other, so even a last-ulp drift would show up in the reproduction
+tables.
 
-Columnar collection (:func:`collect_events_fast`) drives the
+Columnar collection (:func:`collect_run_fast`) drives the
 :class:`~repro.memsim.batch.BatchReplayEngine` once over the whole
 trace, splitting warmup from the measured window with a mid-stream
 :meth:`~repro.memsim.batch._ReplayState.checkpoint` instead of a second
@@ -47,7 +48,6 @@ from .model import (
     TimingConfig,
     TimingResult,
     collect_run,
-    timing_policy,
 )
 
 
@@ -98,19 +98,6 @@ class EventColumns:
             miss_level=np.fromiter(
                 (e.miss_level for e in events), dtype=np.int8, count=n
             ),
-        )
-
-    def to_events(self) -> List[AccessEvent]:
-        """The exact scalar ``AccessEvent`` list."""
-        return list(self)
-
-    def slice(self, start: int, stop: int) -> "EventColumns":
-        """A zero-copy view of rows ``[start:stop)``."""
-        return EventColumns(
-            is_load=self.is_load[start:stop],
-            instructions=self.instructions[start:stop],
-            was_dirty=self.was_dirty[start:stop],
-            miss_level=self.miss_level[start:stop],
         )
 
     def mismatches(self, other: "EventColumns", limit: int = 5) -> List[str]:
@@ -485,22 +472,6 @@ def collect_run_fast(
     return run
 
 
-def collect_events_fast(
-    records: Union[BatchTrace, Iterable],
-    config: HierarchyConfig = PAPER_CONFIG,
-    *,
-    equivalence: str = "auto",
-    equivalence_limit: int = AUTO_LIMIT,
-) -> EventColumns:
-    """Columnar counterpart of :func:`repro.timing.model.collect_events`."""
-    return collect_run_fast(
-        records,
-        config,
-        equivalence=equivalence,
-        equivalence_limit=equivalence_limit,
-    ).events
-
-
 # ----------------------------------------------------------------------
 # Vectorized pricing
 # ----------------------------------------------------------------------
@@ -741,26 +712,3 @@ def _resolve_backlog(
             p = q
             chunk = min(chunk * 2, 65536)
     return port
-
-
-def simulate_cpi_fast(
-    records: Union[BatchTrace, Iterable],
-    config: HierarchyConfig,
-    scheme: str,
-    timing_config: Optional[TimingConfig] = None,
-    *,
-    equivalence: str = "auto",
-) -> TimingResult:
-    """Fast counterpart of :func:`repro.timing.model.simulate_cpi`.
-
-    Takes the hierarchy *config* rather than a live hierarchy (the fast
-    path builds its own batch engine) but returns the bit-identical
-    :class:`~repro.timing.model.TimingResult`.
-    """
-    run = collect_run_fast(records, config, equivalence=equivalence)
-    return time_events_fast(
-        run.events,
-        timing_policy(scheme),
-        timing_config,
-        units_per_block=run.units_per_block,
-    )

@@ -19,6 +19,8 @@ split in two: :func:`collect_events` replays the trace once against a
 hierarchy and captures the per-access facts timing needs (store-to-dirty,
 miss level), and :func:`time_events` prices that stream under any scheme's
 port policy — the paper's simulate-once / account-per-scheme methodology.
+Both are the scalar reference oracles of :mod:`repro.timing.fast`, the
+engine behind :func:`repro.harness.run_benchmark` and ``figure10``.
 """
 
 from __future__ import annotations
@@ -268,19 +270,3 @@ def time_events(
             backlog = float(cfg.store_buffer_capacity)
 
     return result
-
-
-def simulate_cpi(
-    records: Iterable[TraceRecord],
-    hierarchy: MemoryHierarchy,
-    scheme: str,
-    config: Optional[TimingConfig] = None,
-) -> TimingResult:
-    """Replay and price a trace for one scheme in a single call."""
-    events = collect_events(records, hierarchy)
-    return time_events(
-        events,
-        timing_policy(scheme),
-        config,
-        units_per_block=hierarchy.l1d.units_per_block,
-    )

@@ -13,6 +13,7 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
+from ..errors import ConfigurationError
 from ..harness import (
     figure10,
     figure11,
@@ -27,7 +28,14 @@ from ..reliability import (
     estimate_double_fault_failure_fast,
 )
 from ..workloads import benchmark_names
-from ._cli import add_obs_arguments, emit_metrics, metrics_registry, open_sink
+from ._cli import (
+    add_obs_arguments,
+    emit_metrics,
+    fail,
+    metrics_registry,
+    open_sink,
+    require_positive,
+)
 
 EXPERIMENTS = (
     "fig10", "fig11", "fig12", "table2", "table3", "table3mc", "all",
@@ -122,6 +130,10 @@ def _tables_for(experiment: str, runs) -> dict:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        require_positive(references=args.references, mc_samples=args.mc_samples)
+    except ConfigurationError as exc:
+        return fail(f"invalid arguments: {exc}")
     registry = metrics_registry(args.emit_metrics)
     tables = {}
     if args.experiment == "table3mc":

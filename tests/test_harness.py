@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.equivalence import AUTO_LIMIT
+from repro.errors import ConfigurationError
 from repro.harness import (
     PAPER_TABLE2_L1,
     PAPER_TABLE2_L2,
+    BenchmarkRun,
     figure10,
     figure11,
     figure12,
@@ -15,6 +18,10 @@ from repro.harness import (
     table2,
     table3,
 )
+from repro.harness.experiments import FIG10_SCHEMES, Figure10Result
+from repro.memsim import PAPER_CONFIG, CacheGeometry, HierarchyConfig
+from repro.timing import EventColumns, collect_run, time_events, timing_policy
+from repro.workloads import make_workload
 
 
 @pytest.fixture(scope="module")
@@ -67,23 +74,79 @@ class TestRunBenchmark:
         assert list(run.events) == list(reference.events)
 
     def test_fast_path_is_bit_identical(self):
-        scalar = run_benchmark("gcc", n_references=900, warmup_fraction=0.25)
-        fast = run_benchmark(
-            "gcc", n_references=900, warmup_fraction=0.25, fast=True
+        # The batch engine is the only production engine; the scalar
+        # collector is its oracle on the very same records.
+        assert_matches_oracle(
+            run_benchmark("gcc", n_references=900, warmup_fraction=0.25)
         )
-        assert list(fast.events) == list(scalar.events)
-        assert fast.l1 == scalar.l1
-        assert fast.l2 == scalar.l2
-        assert fast.units_per_block == scalar.units_per_block
 
     def test_run_all_benchmarks_fast(self):
         names = ["gzip", "mcf"]
-        scalar = run_all_benchmarks(n_references=700, benchmarks=names)
-        fast = run_all_benchmarks(n_references=700, benchmarks=names, fast=True)
-        for a, b in zip(scalar, fast):
-            assert a.name == b.name
-            assert list(a.events) == list(b.events)
-            assert a.l1 == b.l1 and a.l2 == b.l2
+        runs = run_all_benchmarks(n_references=700, benchmarks=names)
+        assert [run.name for run in runs] == names
+        for run in runs:
+            assert_matches_oracle(run)
+
+    def test_refuses_geometry_the_batch_engine_cannot_serve(self):
+        # A 16-byte L1 protection unit is outside the batch engine's
+        # 64-bit precondition: refused, never a silent scalar fallback.
+        config = HierarchyConfig(
+            l1d=CacheGeometry(32 * 1024, 2, 32, unit_bytes=16, latency_cycles=2),
+            l2=PAPER_CONFIG.l2,
+        )
+        with pytest.raises(ConfigurationError):
+            run_benchmark("gzip", n_references=100, config=config)
+
+
+def oracle_run(name, n_references):
+    """``run_benchmark``'s product, built by the scalar collector alone."""
+    warmup = int(n_references * 0.25)
+    records = make_workload(name).records(n_references + warmup)
+    events, hierarchy = collect_run(records, PAPER_CONFIG, warmup=warmup)
+    return BenchmarkRun(
+        name=name,
+        references=n_references,
+        l1=hierarchy.l1d.stats,
+        l2=hierarchy.l2.stats,
+        events=EventColumns.from_events(events),
+        units_per_block=hierarchy.l1d.units_per_block,
+    )
+
+
+def assert_matches_oracle(run):
+    oracle = oracle_run(run.name, run.references)
+    assert list(run.events) == list(oracle.events)
+    assert run.l1 == oracle.l1
+    assert run.l2 == oracle.l2
+    assert run.units_per_block == oracle.units_per_block
+
+
+def test_paper_tables_match_scalar_oracle():
+    # 2400 measured + 600 warmup references per benchmark: above the
+    # equivalence auto limit, so the engine's own cross-check is off and
+    # cannot mask a divergence here.
+    names = ["gzip", "mcf", "eon"]
+    n_references = 2400
+    assert n_references + n_references // 4 > AUTO_LIMIT
+    production = run_all_benchmarks(n_references=n_references, benchmarks=names)
+    oracle = [oracle_run(name, n_references) for name in names]
+    for render in (figure10, figure11, figure12, table2):
+        assert render(oracle).to_text() == render(production).to_text()
+    # Scalar collection *and* scalar pricing against the production path.
+    scalar_fig10 = Figure10Result(
+        per_benchmark={
+            run.name: {
+                scheme: time_events(
+                    run.events,
+                    timing_policy(scheme),
+                    units_per_block=run.units_per_block,
+                ).cpi
+                for scheme in FIG10_SCHEMES
+            }
+            for run in oracle
+        }
+    )
+    assert scalar_fig10.to_text() == figure10(production).to_text()
 
 
 class TestFigure10(object):

@@ -1,8 +1,8 @@
 """Bit-identity tests for the vectorized Figure-10 timing fast path.
 
-The contract under test is exact: ``collect_events_fast`` must produce
+The contract under test is exact: ``collect_run_fast`` must produce
 the same event stream (and L1/L2 statistics) as the scalar
-``collect_events`` replay, and ``time_events_fast`` must return a
+``collect_run`` replay, and ``time_events_fast`` must return a
 ``TimingResult`` equal *field for field, bit for bit* to the scalar
 ``time_events`` loop — for every scheme, any core width, any store
 buffer capacity.
@@ -14,20 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, EquivalenceError
-from repro.memsim import PAPER_CONFIG, CacheGeometry, HierarchyConfig, MemoryHierarchy
+from repro.memsim import PAPER_CONFIG, CacheGeometry, HierarchyConfig
 from repro.timing import (
     TIMING_POLICIES,
     AccessEvent,
     TimingConfig,
-    collect_events,
-    simulate_cpi,
+    collect_run,
     time_events,
 )
 from repro.timing.fast import (
     EventColumns,
-    collect_events_fast,
     collect_run_fast,
-    simulate_cpi_fast,
     time_events_fast,
 )
 from repro.workloads import make_workload
@@ -101,29 +98,15 @@ class TestCollectFast:
     )
     @settings(max_examples=25, deadline=None)
     def test_matches_scalar_collector(self, benchmark, n, warmup_fraction, seed):
-        import itertools
-
         records = list(make_workload(benchmark, seed=seed).records(n))
         warmup = int(n * warmup_fraction)
         run = collect_run_fast(
             records, PAPER_CONFIG, warmup=warmup, equivalence="never"
         )
-        hierarchy = MemoryHierarchy(PAPER_CONFIG)
-        it = iter(records)
-        if warmup:
-            collect_events(itertools.islice(it, warmup), hierarchy)
-            hierarchy.l1d.reset_stats()
-            hierarchy.l2.reset_stats()
-        events = collect_events(it, hierarchy)
+        events, hierarchy = collect_run(records, PAPER_CONFIG, warmup=warmup)
         assert list(run.events) == events
         assert hierarchy.l1d.stats == run.l1
         assert hierarchy.l2.stats == run.l2
-
-    def test_collect_events_fast_equals_scalar(self):
-        records = list(make_workload("gcc", seed=3).records(300))
-        columns = collect_events_fast(records, equivalence="never")
-        scalar = collect_events(records, MemoryHierarchy(PAPER_CONFIG))
-        assert list(columns) == scalar
 
     def test_builtin_cross_check_passes(self):
         records = list(make_workload("vpr", seed=1).records(200))
@@ -169,36 +152,8 @@ class TestCollectFast:
         with pytest.raises(ConfigurationError):
             collect_run_fast(records, PAPER_CONFIG, warmup=11)
 
-    def test_simulate_cpi_fast_matches_scalar(self):
-        records = list(make_workload("mcf", seed=5).records(250))
-        for scheme in TIMING_POLICIES:
-            scalar = simulate_cpi(
-                iter(records), MemoryHierarchy(PAPER_CONFIG), scheme
-            )
-            fast = simulate_cpi_fast(
-                records, PAPER_CONFIG, scheme, equivalence="never"
-            )
-            assert scalar == fast
-
 
 class TestEventColumns:
-    def test_round_trip(self):
-        events = [
-            AccessEvent(True, 4, False, 0),
-            AccessEvent(False, 0, True, 2),
-        ]
-        columns = EventColumns.from_events(events)
-        assert columns.to_events() == events
-        assert list(columns) == events
-        assert len(columns) == 2
-
-    def test_slice_is_zero_copy_view(self):
-        events = [AccessEvent(True, i, False, 0) for i in range(6)]
-        columns = EventColumns.from_events(events)
-        window = columns.slice(2, 5)
-        assert window.to_events() == events[2:5]
-        assert window.instructions.base is columns.instructions
-
     def test_mismatches_name_the_column(self):
         a = EventColumns.from_events([AccessEvent(True, 4, False, 0)])
         b = EventColumns.from_events([AccessEvent(True, 4, False, 1)])

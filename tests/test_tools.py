@@ -186,6 +186,23 @@ class TestCliValidation:
         assert rc == 1
         assert "--references" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["fig10", "-n", "0"], "--references"),
+            (["fig10", "-n", "-5"], "--references"),
+            (["table3mc", "--mc-samples", "0"], "--mc-samples"),
+        ],
+    )
+    def test_run_experiment_rejects_bad_flags(self, capsys, argv, flag):
+        from repro.tools import run_experiment
+
+        rc = run_experiment.main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid arguments" in err
+        assert flag in err
+
     def test_zero_retries_stays_valid(self):
         # --retries 0 means "no retry", which is a legal policy.
         rc = run_campaign.main([

@@ -1,11 +1,15 @@
 """Tests for trace format, generators and the SPEC-like profiles."""
 
+import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TraceFormatError
 from repro.memsim import AccessType
+from repro.memsim.batch import BatchTrace
+from repro.util import KB
 from repro.workloads import (
     BENCHMARKS,
     SyntheticWorkload,
@@ -72,7 +76,10 @@ class TestTraceSerialization:
         ]
         stats, back = trace_stats(records)
         assert stats == {
-            "loads": 1, "stores": 1, "references": 2, "instructions": 6,
+            "loads": 1,
+            "stores": 1,
+            "references": 2,
+            "instructions": 6,
         }
         assert back is records  # sequences pass through untouched
 
@@ -97,14 +104,14 @@ class TestProfileValidation:
 
     def test_probability_bounds(self):
         with pytest.raises(ConfigurationError):
-            WorkloadProfile(
-                name="x", working_set_bytes=1024, hot_bytes=512, p_hot=1.5
-            )
+            WorkloadProfile(name="x", working_set_bytes=1024, hot_bytes=512, p_hot=1.5)
 
     def test_store_region_must_fit(self):
         with pytest.raises(ConfigurationError):
             WorkloadProfile(
-                name="x", working_set_bytes=1024, hot_bytes=512,
+                name="x",
+                working_set_bytes=1024,
+                hot_bytes=512,
                 store_region_bytes=4096,
             )
 
@@ -144,6 +151,108 @@ class TestGenerator:
         records = materialize(make_workload("gzip").records(4000))
         mean = sum(r.gap for r in records) / len(records)
         assert abs(mean - get_profile("gzip").mean_gap) < 0.5
+
+
+#: Two hand-built profiles covering the branches no SPEC-like profile
+#: takes: a zero mean gap (no gap draws at all) and free-roaming stores
+#: (no sliding store window).
+HAND_PROFILES = (
+    WorkloadProfile(
+        name="no-gap",
+        working_set_bytes=64 * KB,
+        hot_bytes=16 * KB,
+        store_region_bytes=4 * KB,
+        mean_gap=0,
+    ),
+    WorkloadProfile(
+        name="roaming",
+        working_set_bytes=256 * KB,
+        hot_bytes=32 * KB,
+        store_region_bytes=0,
+        mean_gap=5,
+    ),
+)
+
+PINNED_REFS = 5000
+
+#: Workload seed -> profile -> SHA-256 of the packed (addr, size,
+#: is_store, gap, raw value) columns of its first ``PINNED_REFS``
+#: references.  Any change to the generator's random-call sequence
+#: moves these.
+PINNED_DIGESTS = {
+    0: {
+        "gzip": "56fec1ecd6f293455cab6bb3147e5f79e15e97196aaf65aae3b2293353dbaf88",
+        "vpr": "2d213a99385507c294ef8853b122b05d1dc1a3a382c0db7ef89dca41e549ea5f",
+        "gcc": "4a53f840484263a0691d899ad3bcd7c281c27faed2cb08ed46f242b27f1a5bb1",
+        "mcf": "c94f183aa6f3daa6bcbaaee42a1f836d61101a9cc7d0dcd14caee39d2ca71881",
+        "crafty": "1acf583ecbeacec82788075fe9430e0611de5b670fbff9fb734d26de8730aa20",
+        "parser": "1dea6afb9adc5fc12e9342f9f4dbe6d0394d8031259449b180157e1774f5624c",
+        "eon": "fc4d708df9c5cf9428cbb549e8810efcc603b3ea43170abe6293f5f66a0644a6",
+        "perlbmk": "88840b73113b2d977920483b5c7e219ce58d7759bc07f90c0997291d0ef00b4b",
+        "gap": "eb5d608f7139ea023989d072a7c95aab5ea94a8628bc1cc7c521737979a4d651",
+        "vortex": "db02ffcdbc9c18842e82c2e11278f4334b1af2b4b42fa348f27c661e8ce57669",
+        "bzip2": "5622f55e54d99517cf4c92e15b86e1e5ae75e4f00efa38989d9c5ee3a8e8a73a",
+        "twolf": "a0e2e7103d9bb45ef950f11c2e1c8d5fe3e357ccdb6cd01af95e495e679562c6",
+        "swim": "70b1614df27024b943791472be5d240992e677a2e4658f9a246bef79f29a20ca",
+        "art": "ed854f57d827244f123fb939442d0d9970feb6f6383e372aaf1ced1c03d212ef",
+        "equake": "4a4a25f4e4d3bdc8089ef4ec332f5f7d04ad5b0786f98a3f1db7684bca0bad72",
+        "no-gap": "2a6b3567e726259b7d73cb7dae8e437d2bffe98ef03784a41bff2645f5276fea",
+        "roaming": "89cf06c421ffc7c73e49fbc1027e9f04383d3d47d518f71bebf8d97c038c83af",
+    },
+    (7, 0): {
+        "gzip": "f5a0fae5e5fc097d7793cf5a21471f5c2e3fd991bb5dfbf07b40c9755707d948",
+        "vpr": "0d30fe66fe809bc6da2d321405d523e30122e84f376052045ad6506833407202",
+        "gcc": "4c588ee672917600b86d3ec8ff3796bd2463770cd8e7e879f74faf8654b66fc3",
+        "mcf": "28cd376cc0470213bae2f86a321ead802d21615dd5f10fe0017426ca649b8c77",
+        "crafty": "e7c5330b6f80f912832bcb5fd07d68e4b4f06138c761290f223df78964ea3d29",
+        "parser": "ed2414df4cf3d9ac65607e0761209016e7bac8748cef562a0ba0d8e647fb35ba",
+        "eon": "80d18d5620cd1ea49ed4ccd313f57979ca95612709a82805dd61ced9a1508bff",
+        "perlbmk": "be9906e16d503f520c32c5d03805b0db3ab23624e9c3552e9959135d62642df3",
+        "gap": "b112d2343e450e160b822e10634a9663a8688ffb9bf99b6d613478648b13bbed",
+        "vortex": "23553ab67d7eacdec58b82f9039922c30bdc8a4dc12dc24cd147701cbb66903d",
+        "bzip2": "ef2c62d4487a5e9734bd1e6df2682041fa9b6e43d3619cced55119fd25bf7361",
+        "twolf": "49cdbaf5c1a6d8c52a5b7ddb78f4d942706dbaf579b3ba1034f8c2f05041cc7f",
+        "swim": "90a87ce685b371e1b068b0b17c627faca04730dda757a60800605513c54af557",
+        "art": "2ca631e991c70e37bedff2441d8555c5a588ba5665d44037d691d52944a057ef",
+        "equake": "9dace2eeadff0842bd3a43abe9ec13d6e98496c8134054950d8fb14ae8d9dd71",
+        "no-gap": "98e1b939c2780bda9ecc21184e9fcce357bdd2a16d1330f527cad9799a199ac8",
+        "roaming": "1ece6dc3d3ef414a0642670022001aa1e1f27db25512540af49e96886a2c0d3c",
+    },
+}
+
+
+def _profile(name):
+    for profile in HAND_PROFILES:
+        if profile.name == name:
+            return profile
+    return get_profile(name)
+
+
+def column_digest(trace: BatchTrace) -> str:
+    """SHA-256 over a trace's columns, store values right-aligned."""
+    shift = (8 * (8 - (trace.addr & 7) - trace.size)).astype(np.uint64)
+    raw = np.where(trace.is_store, trace.value_word >> shift, np.uint64(0))
+    digest = hashlib.sha256()
+    for column, dtype in (
+        (trace.addr, "<i8"),
+        (trace.size, "<i8"),
+        (trace.is_store, "u1"),
+        (trace.gap, "<i8"),
+        (raw, "<u8"),
+    ):
+        digest.update(column.astype(dtype).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedTraces:
+    @pytest.mark.parametrize(
+        "seed", list(PINNED_DIGESTS), ids=lambda seed: f"seed{seed}".replace(" ", "")
+    )
+    @pytest.mark.parametrize("name", [*BENCHMARKS, *(p.name for p in HAND_PROFILES)])
+    def test_records_match_pinned_digest(self, name, seed):
+        workload = SyntheticWorkload(_profile(name), seed=seed)
+        trace = BatchTrace.from_records(workload.records(PINNED_REFS))
+        assert column_digest(trace) == PINNED_DIGESTS[seed][name]
 
 
 class TestSpecProfiles:

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional
 from ..errors import ConfigurationError
 from ..memsim.types import AccessType
 from ..util.rng import make_rng, weighted_choice
-from ..workloads.store import cached_records
+from ..workloads.store import cached_trace
 from ..workloads.trace import TraceRecord
 
 #: Serialization format version stamped into every scenario/reproducer.
@@ -265,9 +265,8 @@ class ScenarioGenerator:
         benchmark = rng.choice(_FUZZ_BENCHMARKS)
         # Via the columnar trace store when REPRO_TRACE_CACHE is set, so
         # repeated fuzz runs over the same seed reuse on-disk traces.
-        return cached_records(
-            benchmark, (self.seed, "trace", rng.getrandbits(32)), length
-        )
+        seed = (self.seed, "trace", rng.getrandbits(32))
+        return cached_trace(benchmark, seed, length).to_records()
 
     def _cppc_params(self, rng) -> dict:
         num_pairs = rng.choice((1, 1, 2, 4, 8))

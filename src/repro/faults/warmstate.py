@@ -37,6 +37,8 @@ import dataclasses
 import pickle
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..cppc.protection import CppcProtection
 from ..memsim.batch import BatchReplayEngine, BatchTrace, ReplayCapture
 from ..memsim.hierarchy import MemoryHierarchy
@@ -47,9 +49,8 @@ from ..memsim.snapshot import (
     restore_hierarchy,
     snapshot_hierarchy,
 )
-from ..memsim.types import AccessType
 from ..workloads.replay import GoldenMemory, TraceReplayer
-from ..workloads.store import cached_records
+from ..workloads.store import cached_trace
 from ..workloads.trace import TraceRecord
 from .campaign import CampaignConfig
 
@@ -132,7 +133,25 @@ def _words_to_bytes(words: List[int]) -> bytes:
     return b"".join(int(w).to_bytes(8, "big") for w in words)
 
 
-def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> None:
+def _golden_image(trace: BatchTrace) -> Dict[int, int]:
+    """Golden memory bytes after ``trace``'s stores, in store order.
+
+    The image :meth:`GoldenMemory.store` builds store by store: each
+    store writes its bytes most significant first from its address, and
+    a rewritten byte takes the new value but keeps its first position.
+    """
+    rows = np.flatnonzero(trace.is_store)
+    sizes = trace.size[rows]
+    row = np.repeat(rows, sizes)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    addr = trace.addr[row] + (np.arange(len(row)) - first)
+    # Byte lane ``addr mod 8`` of the big-endian unit holding the store.
+    shift = (8 * (7 - (addr & 7))).astype(np.uint64)
+    value = (trace.value_word[row] >> shift) & np.uint64(0xFF)
+    return dict(zip(addr.tolist(), value.tolist()))
+
+
+def _batch_warm(hierarchy: MemoryHierarchy, warm: BatchTrace) -> None:
     """Warm ``hierarchy`` through the batch engine (L1) plus event replay.
 
     The engine resolves the whole L1 access stream vectorized and
@@ -152,7 +171,7 @@ def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> 
         num_classes=prot.registers.num_classes,
     )
     capture = ReplayCapture()
-    result = engine.replay(BatchTrace.from_records(warm_records), capture=capture)
+    result = engine.replay(warm, capture=capture)
 
     for _index, kind, slot, now, words in capture.events:
         addr = capture.slot_addr[slot]
@@ -186,40 +205,33 @@ def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> 
 
 def build_warm_state(config: CampaignConfig) -> WarmState:
     """Simulate the shared warmup prefix once and package the result."""
-    # cached_records goes through the columnar trace store when
-    # REPRO_TRACE_CACHE is set, so campaigns sharing a workload decode
-    # one on-disk trace instead of regenerating it per process.
-    records = cached_records(
+    # cached_trace goes through the columnar trace store when
+    # REPRO_TRACE_CACHE is set, so campaigns sharing a workload load one
+    # on-disk trace instead of regenerating it per process.
+    trace = cached_trace(
         config.benchmark,
         config.workload_seed(0),
         config.warmup_references + config.post_fault_references,
     )
-    warm_records = records[: config.warmup_references]
-    suffix_records = records[config.warmup_references :]
-
-    golden = GoldenMemory()
-    for record in warm_records:
-        if record.op is AccessType.STORE:
-            golden.store(record.addr, record.value)
-    start_cycle = sum(r.instructions for r in warm_records)
+    warm = trace.slice(0, config.warmup_references)
 
     hierarchy = MemoryHierarchy(protection_factory=config.scheme_factory)
-    if not warm_records:
+    if not len(warm):
         warm_engine = "pristine"
     elif _batch_compatible(hierarchy.l1d):
-        _batch_warm(hierarchy, warm_records)
+        _batch_warm(hierarchy, warm)
         warm_engine = "batch"
     else:
-        TraceReplayer(hierarchy).run(warm_records)
+        TraceReplayer(hierarchy).run(warm.to_records())
         warm_engine = "scalar"
 
     state = WarmState(
         key=warm_key(config),
         config=config,
         snapshot=snapshot_hierarchy(hierarchy),
-        golden_image=golden.snapshot(),
-        suffix_records=suffix_records,
-        start_cycle=start_cycle,
+        golden_image=_golden_image(warm),
+        suffix_records=trace.slice(len(warm), len(trace)).to_records(),
+        start_cycle=warm.instructions,
         warm_engine=warm_engine,
     )
     state.size_bytes = len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))

@@ -61,6 +61,7 @@ def run_benchmark(
     seed: int = 0,
     config: HierarchyConfig = PAPER_CONFIG,
     warmup_fraction: float = 0.25,
+    obs=None,
 ) -> BenchmarkRun:
     """Replay one benchmark once and capture everything the models need.
 
@@ -68,18 +69,27 @@ def run_benchmark(
     excluded from the counters (the role SimPoint fast-forwarding plays in
     the paper's setup); the timing events cover only the measured window.
 
-    The replay runs on the vectorized batch engine
+    The trace is generated straight into columns
+    (:meth:`~repro.workloads.generators.SyntheticWorkload.trace`) and
+    replayed on the vectorized batch engine
     (:func:`repro.timing.fast.collect_run_fast`), whose scalar oracle is
     :func:`repro.timing.model.collect_run`.  A geometry that engine
     cannot serve raises :class:`~repro.errors.ConfigurationError`.
+    ``obs`` (a :class:`repro.obs.TraceSink`) gets one ``generate`` and
+    one ``collect`` span.
     """
-    workload = make_workload(name, seed=seed)
+    live = obs is not None and obs.enabled
     warmup = int(n_references * warmup_fraction)
-    # ``records(...)`` is documented as a generator, but guard against a
-    # workload handing back a sequence: without ``iter`` the warmup
-    # prefix would be replayed a second time into the measured window.
-    records = iter(workload.records(n_references + warmup))
-    run = collect_run_fast(records, config, warmup=warmup)
+    stages = {"benchmark": name, "references": n_references + warmup}
+    start = time.perf_counter()
+    trace = make_workload(name, seed=seed).trace(n_references + warmup)
+    if live:
+        now = time.perf_counter()
+        obs.span("experiment", "generate", start, now - start, stages)
+        start = now
+    run = collect_run_fast(trace, config, warmup=warmup)
+    if live:
+        obs.span("experiment", "collect", start, time.perf_counter() - start, stages)
     return BenchmarkRun(
         name=name,
         references=n_references,
@@ -100,15 +110,16 @@ def run_all_benchmarks(
     """Shared simulations for every benchmark in evaluation order.
 
     ``obs`` (a :class:`repro.obs.TraceSink`) gets one span per benchmark
-    simulation — coarse progress marks, not per-access events, so the
-    trace stays small at full experiment scale.
+    simulation with its ``generate`` and ``collect`` stages nested inside
+    — coarse progress marks, not per-access events, so the trace stays
+    small at full experiment scale.
     """
     names = list(benchmarks) if benchmarks is not None else benchmark_names()
     live = obs is not None and obs.enabled
     runs = []
     for name in names:
         start = time.perf_counter() if live else 0.0
-        run = run_benchmark(name, n_references, seed, config)
+        run = run_benchmark(name, n_references, seed, config, obs=obs)
         if live:
             obs.span(
                 "experiment",

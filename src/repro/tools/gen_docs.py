@@ -47,11 +47,30 @@ def _first_paragraph(doc: Optional[str]) -> str:
     return " ".join(paragraph)
 
 
+class _QualifiedName:
+    """Stands in for a default value, printing where it is defined."""
+
+    def __init__(self, value):
+        self._text = f"{value.__module__}.{value.__qualname__}"
+
+    def __repr__(self) -> str:
+        return self._text
+
+
 def _signature(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        signature = inspect.signature(obj)
     except (TypeError, ValueError):
         return "(...)"
+    # A function's repr carries its load address, which differs on every
+    # run; a function-valued default prints as its qualified name.
+    parameters = [
+        param.replace(default=_QualifiedName(param.default))
+        if inspect.isroutine(param.default)
+        else param
+        for param in signature.parameters.values()
+    ]
+    return str(signature.replace(parameters=parameters))
 
 
 def document_module(name: str) -> List[str]:

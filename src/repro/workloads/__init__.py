@@ -21,7 +21,7 @@ from .store import (
     ColumnarTraceReader,
     ColumnarTraceWriter,
     TraceCache,
-    cached_records,
+    cached_trace,
     default_trace_cache,
     load_batch_trace,
     write_trace,
@@ -54,7 +54,7 @@ __all__ = [
     "ColumnarTraceReader",
     "ColumnarTraceWriter",
     "TraceCache",
-    "cached_records",
+    "cached_trace",
     "default_trace_cache",
     "load_batch_trace",
     "write_trace",

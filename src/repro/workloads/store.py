@@ -34,7 +34,7 @@ half-written file under the real name.
 traces keyed by ``(benchmark profile, seed, n_references)``: benches,
 campaigns and fuzz runs that request the same synthetic trace reuse one
 on-disk columnar file across processes instead of regenerating it.
-:func:`cached_records` is the drop-in helper — it honours the
+:func:`cached_trace` is the drop-in helper — it honours the
 ``REPRO_TRACE_CACHE`` environment variable and falls back to plain
 in-memory generation when no cache is configured.
 """
@@ -122,9 +122,7 @@ class ColumnarTraceWriter:
         self._size: List[int] = []
         self._gap: List[int] = []
         self._heap = bytearray()
-        self._tmp = self.path.with_name(
-            f"{self.path.name}.{os.getpid()}.tmp"
-        )
+        self._tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
         self._fh = open(self._tmp, "wb")
         meta_blob = canonical_json(self.meta).encode("utf-8")
         self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(meta_blob)))
@@ -209,9 +207,7 @@ class ColumnarTraceWriter:
             }
         ).encode("utf-8")
         self._fh.write(footer)
-        self._fh.write(
-            _TRAILER.pack(len(footer), self.records_written, END_MAGIC)
-        )
+        self._fh.write(_TRAILER.pack(len(footer), self.records_written, END_MAGIC))
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
@@ -299,9 +295,7 @@ class ColumnarTraceReader:
             size = os.fstat(self._fh.fileno()).st_size
             if size < _HEADER.size + _TRAILER.size:
                 raise _corrupt(self.path, "file too short to be a columnar trace")
-            magic, version, meta_len = _HEADER.unpack(
-                self._fh.read(_HEADER.size)
-            )
+            magic, version, meta_len = _HEADER.unpack(self._fh.read(_HEADER.size))
             if magic != MAGIC:
                 raise _corrupt(self.path, f"bad magic {magic!r}")
             if version != FORMAT_VERSION:
@@ -314,9 +308,7 @@ class ColumnarTraceReader:
             if meta_end + _TRAILER.size > size:
                 raise _corrupt(self.path, "truncated header metadata")
             try:
-                self.meta: dict = json.loads(
-                    self._fh.read(meta_len).decode("utf-8")
-                )
+                self.meta: dict = json.loads(self._fh.read(meta_len).decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise _corrupt(self.path, f"unreadable metadata: {exc}")
             self._fh.seek(size - _TRAILER.size)
@@ -324,31 +316,26 @@ class ColumnarTraceReader:
                 self._fh.read(_TRAILER.size)
             )
             if end_magic != END_MAGIC:
-                raise _corrupt(
-                    self.path, "missing end marker (truncated file?)"
-                )
+                raise _corrupt(self.path, "missing end marker (truncated file?)")
             footer_off = size - _TRAILER.size - footer_len
             if footer_off < meta_end:
                 raise _corrupt(self.path, "footer overlaps the header")
             self._fh.seek(footer_off)
             try:
-                footer = json.loads(
-                    self._fh.read(footer_len).decode("utf-8")
-                )
+                footer = json.loads(self._fh.read(footer_len).decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise _corrupt(self.path, f"unreadable footer: {exc}")
             self._footer = footer
             self._chunks = footer.get("chunks", [])
             self._payload_end = footer_off
-            if footer.get("records") != n_records or sum(
-                c["records"] for c in self._chunks
-            ) != n_records:
+            if (
+                footer.get("records") != n_records
+                or sum(c["records"] for c in self._chunks) != n_records
+            ):
                 raise _corrupt(self.path, "record counts disagree")
             self.n_records = int(n_records)
             if use_mmap and size:
-                self._mm = mmap.mmap(
-                    self._fh.fileno(), 0, access=mmap.ACCESS_READ
-                )
+                self._mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
                 self._buf = self._mm
             else:
                 self._fh.seek(0)
@@ -393,9 +380,7 @@ class ColumnarTraceReader:
                 raise _corrupt(self.path, f"chunk {index} CRC mismatch")
             self._verified[index] = True
         op = np.frombuffer(self._buf, dtype=np.uint8, count=n, offset=payload_off)
-        addr = np.frombuffer(
-            self._buf, dtype=np.int64, count=n, offset=payload_off + n
-        )
+        addr = np.frombuffer(self._buf, dtype=np.int64, count=n, offset=payload_off + n)
         size = np.frombuffer(
             self._buf, dtype=np.int64, count=n, offset=payload_off + 9 * n
         )
@@ -575,19 +560,16 @@ def default_trace_cache() -> Optional[TraceCache]:
     return TraceCache(root) if root else None
 
 
-def cached_records(
-    benchmark: str, seed, n_references: int
-) -> List[TraceRecord]:
-    """Materialized records for a synthetic trace, via the cache if set.
+def cached_trace(benchmark: str, seed, n_references: int) -> BatchTrace:
+    """A synthetic trace as columns, via the cache if one is set.
 
     With ``REPRO_TRACE_CACHE`` configured the trace is generated once
     per ``(benchmark, seed, n_references)`` across all processes and
-    decoded from the columnar file (bit-identical to fresh generation —
-    tested); otherwise it is generated in memory as before.
+    loaded from the columnar file with no record decode (bit-identical
+    to fresh generation — tested); otherwise the columnar emitter
+    generates it in memory.
     """
     cache = default_trace_cache()
     if cache is None:
-        return list(make_workload(benchmark, seed=seed).records(n_references))
-    path = cache.get_or_create(benchmark, seed, n_references)
-    with ColumnarTraceReader(path, use_mmap=False) as reader:
-        return list(reader.records())
+        return make_workload(benchmark, seed=seed).trace(n_references)
+    return load_batch_trace(cache.get_or_create(benchmark, seed, n_references))

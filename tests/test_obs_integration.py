@@ -71,9 +71,7 @@ class TestSnapshotRoundTrip:
             cache.store(i * 8, bytes([i]) * 8, cycle=float(i * 3 + 1))
             cache.load((i // 2) * 8, 8, cycle=float(i * 3 + 2))
         snap = cache.stats.snapshot()
-        store = CheckpointStore(
-            tmp_path / "ckpt", config_digest="b" * 64, resume=False
-        )
+        store = CheckpointStore(tmp_path / "ckpt", config_digest="b" * 64, resume=False)
         store.record(0, 42, "result", snap)
         store.close()
         reloaded = CheckpointStore(
@@ -161,9 +159,7 @@ class TestCampaignWithSink:
         assert {e["args"]["outcome"] for e in trial_spans} == {
             t.outcome.value for t in baseline.trials
         }
-        assert any(
-            e["cat"] == "campaign" and e["name"] == "inject" for e in events
-        )
+        assert any(e["cat"] == "campaign" and e["name"] == "inject" for e in events)
         assert any(e["cat"] == "cache" for e in events)
 
     def test_campaign_metrics_export(self):
@@ -177,3 +173,24 @@ class TestCampaignWithSink:
             for o in ("benign", "corrected", "due", "sdc")
         )
         assert total == result.completed
+
+
+class TestExperimentStageSpans:
+    def test_benchmark_spans_nest_generate_and_collect(self, tmp_path, capsys):
+        from repro.tools import run_experiment
+
+        path = tmp_path / "trace.jsonl"
+        argv = ["fig10", "-n", "400", "--benchmarks", "gzip", "mcf"]
+        assert run_experiment.main([*argv, "--trace-out", str(path)]) == 0
+        spans = list(read_jsonl_trace(path, category="experiment"))
+        eps = 1e-6
+        for name in ("gzip", "mcf"):
+            (parent,) = [s for s in spans if s["name"] == f"benchmark[{name}]"]
+            stages = {s["name"]: s for s in spans if s["args"].get("benchmark") == name}
+            assert set(stages) == {"generate", "collect"}
+            generate, collect = stages["generate"], stages["collect"]
+            # 400 measured references plus the 25% warmup prefix.
+            assert generate["args"]["references"] == 500
+            assert parent["ts"] <= generate["ts"]
+            assert generate["ts"] + generate["dur"] <= collect["ts"] + eps
+            assert collect["ts"] + collect["dur"] <= parent["ts"] + parent["dur"] + eps

@@ -1,6 +1,13 @@
 """Tests for the command-line tools."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.tools import gen_trace, run_campaign, run_experiment
 from repro.workloads import load_trace
@@ -274,6 +281,23 @@ class TestGenDocs:
         for symbol in ("CppcProtection", "MemoryHierarchy", "FaultLocator",
                        "RegisterPair", "CacheEnergyModel"):
             assert symbol in text
+
+    def test_output_is_reproducible(self, tmp_path):
+        # Separate processes load functions at different addresses, so
+        # any address in the text makes two runs differ.
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        outputs = []
+        for run in range(2):
+            out = tmp_path / f"API{run}.md"
+            subprocess.run(
+                [sys.executable, "-m", "repro.tools.gen_docs", "-o", str(out)],
+                check=True,
+                env=env,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b" at 0x" not in outputs[0]
+        assert b"repro.memsim.hierarchy._no_protection" in outputs[0]
 
 
 class TestRunScorecard:

@@ -18,7 +18,7 @@ from repro.workloads import (
     FastReplay,
     TraceCache,
     TraceRecord,
-    cached_records,
+    cached_trace,
     load_batch_trace,
     load_trace,
     make_workload,
@@ -291,18 +291,29 @@ class TestTraceCache:
         }
         assert len(paths) == 4
 
-    def test_cached_records_matches_direct_generation(
-        self, tmp_path, monkeypatch
-    ):
+    def test_cached_trace_matches_direct_generation(self, tmp_path, monkeypatch):
         direct = list(make_workload("twolf", seed=13).records(300))
+        expected = BatchTrace.from_records(direct)
         monkeypatch.delenv(CACHE_ENV, raising=False)
-        assert cached_records("twolf", 13, 300) == direct
+        assert_traces_equal(cached_trace("twolf", 13, 300), expected)
         monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
-        assert cached_records("twolf", 13, 300) == direct
-        assert cached_records("twolf", 13, 300) == direct  # from disk
+        assert_traces_equal(cached_trace("twolf", 13, 300), expected)
+        from_disk = cached_trace("twolf", 13, 300)
+        assert_traces_equal(from_disk, expected)
+        assert from_disk.to_records() == direct
+
+    def test_cache_hit_decodes_no_records(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+        expected = cached_trace("gcc", 3, 400)
+
+        def no_decode(self):
+            raise AssertionError("a cache hit decoded records")
+
+        monkeypatch.setattr(ColumnarTraceReader, "records", no_decode)
+        assert_traces_equal(cached_trace("gcc", 3, 400), expected)
 
     def test_tuple_seeds_supported(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
         seed = (42, "trace", 7)
         direct = list(make_workload("art", seed=seed).records(150))
-        assert cached_records("art", seed, 150) == direct
+        assert cached_trace("art", seed, 150).to_records() == direct

@@ -23,6 +23,7 @@ from repro.workloads import (
     save_trace,
     trace_stats,
 )
+from repro.workloads.generators import CHUNK_REFERENCES
 
 
 class TestTraceRecord:
@@ -106,6 +107,14 @@ class TestProfileValidation:
         with pytest.raises(ConfigurationError):
             WorkloadProfile(name="x", working_set_bytes=1024, hot_bytes=512, p_hot=1.5)
 
+    def test_regions_must_hold_a_word(self):
+        with pytest.raises(ConfigurationError):
+            WorkloadProfile(name="x", working_set_bytes=1024, hot_bytes=4)
+        with pytest.raises(ConfigurationError):
+            WorkloadProfile(
+                name="x", working_set_bytes=1024, hot_bytes=512, store_region_bytes=4
+            )
+
     def test_store_region_must_fit(self):
         with pytest.raises(ConfigurationError):
             WorkloadProfile(
@@ -132,10 +141,9 @@ class TestGenerator:
 
     def test_addresses_inside_working_set(self):
         profile = get_profile("gzip")
+        end = profile.base_address + profile.working_set_bytes
         for r in make_workload("gzip").records(500):
-            assert profile.base_address <= r.addr < (
-                profile.base_address + profile.working_set_bytes
-            )
+            assert profile.base_address <= r.addr < end
 
     def test_accesses_naturally_aligned(self):
         for r in make_workload("vortex").records(500):
@@ -220,6 +228,13 @@ PINNED_DIGESTS = {
     },
 }
 
+#: Longer traces, spanning several generator chunks.
+MULTI_CHUNK_REFS = 20_000
+MULTI_CHUNK_DIGESTS = {
+    ("gcc", 0): "828d7c5558b34f477e5d5231dd47e0a919c432d423940be20983dbe901d9e524",
+    ("mcf", (7, 0)): "ba58cc3893dd6f9b434e453228dea31840d915f34bd871cba164677332cb4b96",
+}
+
 
 def _profile(name):
     for profile in HAND_PROFILES:
@@ -253,6 +268,49 @@ class TestPinnedTraces:
         workload = SyntheticWorkload(_profile(name), seed=seed)
         trace = BatchTrace.from_records(workload.records(PINNED_REFS))
         assert column_digest(trace) == PINNED_DIGESTS[seed][name]
+
+    @pytest.mark.parametrize(
+        "seed", list(PINNED_DIGESTS), ids=lambda seed: f"seed{seed}".replace(" ", "")
+    )
+    @pytest.mark.parametrize("name", [*BENCHMARKS, *(p.name for p in HAND_PROFILES)])
+    def test_trace_matches_pinned_digest(self, name, seed):
+        workload = SyntheticWorkload(_profile(name), seed=seed)
+        trace = workload.trace(PINNED_REFS)
+        assert column_digest(trace) == PINNED_DIGESTS[seed][name]
+
+    @pytest.mark.parametrize("name, seed", list(MULTI_CHUNK_DIGESTS))
+    def test_multi_chunk_traces_match_pinned_digest(self, name, seed):
+        workload = make_workload(name, seed=seed)
+        digest = MULTI_CHUNK_DIGESTS[name, seed]
+        assert column_digest(workload.trace(MULTI_CHUNK_REFS)) == digest
+        records = BatchTrace.from_records(workload.records(MULTI_CHUNK_REFS))
+        assert column_digest(records) == digest
+
+
+class TestColumnarEmitter:
+    def test_records_decode_the_trace_across_a_chunk_boundary(self):
+        workload = make_workload("vortex", seed=4)
+        n = CHUNK_REFERENCES + 37
+        assert list(workload.records(n)) == workload.trace(n).to_records()
+
+    def test_records_yield_after_generating_one_chunk(self, monkeypatch):
+        produced = []
+        real = SyntheticWorkload._columns
+
+        def counting(self, n_references, *args):
+            for chunk in real(self, n_references, *args):
+                produced.append(len(chunk[0]))
+                yield chunk
+
+        monkeypatch.setattr(SyntheticWorkload, "_columns", counting)
+        records = make_workload("gcc").records(10 * CHUNK_REFERENCES)
+        next(records)
+        assert produced == [CHUNK_REFERENCES]
+
+    def test_empty_trace(self):
+        workload = make_workload("gzip")
+        assert len(workload.trace(0)) == 0
+        assert list(workload.records(0)) == []
 
 
 class TestSpecProfiles:

@@ -78,18 +78,17 @@ def run_benchmark(
     ``obs`` (a :class:`repro.obs.TraceSink`) gets one ``generate`` and
     one ``collect`` span.
     """
-    live = obs is not None and obs.enabled
     warmup = int(n_references * warmup_fraction)
-    stages = {"benchmark": name, "references": n_references + warmup}
+    total = n_references + warmup
     start = time.perf_counter()
-    trace = make_workload(name, seed=seed).trace(n_references + warmup)
-    if live:
-        now = time.perf_counter()
-        obs.span("experiment", "generate", start, now - start, stages)
-        start = now
+    trace = make_workload(name, seed=seed).trace(total)
+    generated = time.perf_counter()
     run = collect_run_fast(trace, config, warmup=warmup)
-    if live:
-        obs.span("experiment", "collect", start, time.perf_counter() - start, stages)
+    if obs is not None and obs.enabled:
+        done = time.perf_counter()
+        args = {"benchmark": name, "references": total}
+        obs.span("experiment", "generate", start, generated - start, args)
+        obs.span("experiment", "collect", generated, done - generated, args)
     return BenchmarkRun(
         name=name,
         references=n_references,

@@ -22,6 +22,8 @@ from repro.faults import (
     warm_state_for,
 )
 from repro.faults import warmstate as warmstate_mod
+from repro.memsim.types import AccessType
+from repro.workloads import GoldenMemory, make_workload
 
 
 @pytest.fixture(autouse=True)
@@ -130,6 +132,16 @@ class TestWarmEngines:
         assert scalar_state.snapshot == batch_state.snapshot
         assert scalar_state.golden_image == batch_state.golden_image
         assert scalar_state.start_cycle == batch_state.start_cycle
+
+    def test_golden_image_matches_store_by_store_replay(self):
+        trace = make_workload("vortex", seed=2).trace(3000)
+        golden = GoldenMemory()
+        for record in trace.to_records():
+            if record.op is AccessType.STORE:
+                golden.store(record.addr, record.value)
+        image = warmstate_mod._golden_image(trace)
+        # Dict order matters too: it fixes the order of SDC details.
+        assert list(image.items()) == list(golden.snapshot().items())
 
 
 class TestGuards:

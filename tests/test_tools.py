@@ -293,6 +293,7 @@ class TestGenDocs:
                 [sys.executable, "-m", "repro.tools.gen_docs", "-o", str(out)],
                 check=True,
                 env=env,
+                timeout=300,
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
